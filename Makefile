@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-short race fuzz-smoke vet bench bench-pnr bench-serve bench-smoke artifacts serve-smoke cache-smoke jobs-smoke trace-smoke obs-smoke cluster-smoke hammer hammer-full check
+.PHONY: all build test test-short race fuzz-smoke vet bench bench-pnr bench-serve bench-smoke perfbench-check artifacts serve-smoke cache-smoke jobs-smoke trace-smoke obs-smoke cluster-smoke hammer hammer-full check
 
 all: build
 
@@ -64,9 +64,9 @@ bench-pnr:
 bench-serve:
 	$(GO) run ./cmd/parchmint-perf -suite serve -o BENCH_serve.json
 
-# Determinism hammer under the race detector: parallel replicas,
-# speculative net routing, and starved CPU budgets must reproduce the
-# sequential golden byte for byte. -short trims the matrix to the small
+# Determinism hammer under the race detector: full-width and starved-budget
+# parallel-tempering replica schedules must reproduce the sequential
+# golden byte for byte. -short trims the matrix to the small
 # devices so the race scheduler stays affordable in the commit gate;
 # hammer-full sweeps every bench device at replicas {1,2,4,8}.
 hammer:
@@ -89,6 +89,13 @@ bench-smoke:
 	$(GO) run ./cmd/parchmint-perf -check BENCH_pnr.json; \
 	$(GO) run ./cmd/parchmint-perf -check BENCH_serve.json; \
 	echo "bench-smoke: ok"
+
+# The end-to-end benchmark (perfbench/, run by perfbench/run.sh) is its
+# own Go module, so `go build ./...` and `go vet ./...` never compile it.
+# Vet it and run its self-test so an API change here cannot silently
+# break it.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Regenerate the committed golden artifacts (intentional drift only).
 artifacts:
@@ -228,4 +235,4 @@ obs-smoke: build
 cluster-smoke: build
 	@GO="$(GO)" ./scripts/cluster_smoke.sh
 
-check: build vet test race hammer fuzz-smoke bench-smoke serve-smoke cache-smoke jobs-smoke trace-smoke obs-smoke cluster-smoke
+check: build vet test race hammer fuzz-smoke bench-smoke perfbench-check serve-smoke cache-smoke jobs-smoke trace-smoke obs-smoke cluster-smoke

@@ -28,6 +28,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/runner"
 )
 
@@ -53,7 +54,7 @@ func main() {
 	if *jobs < 1 {
 		*jobs = runtime.NumCPU()
 	}
-	runner.SetParallelism(*jobs)
+	par.SetParallelism(*jobs)
 	ctx, flushTrace := cli.TraceContext(context.Background(), *traceOut)
 
 	switch {

@@ -1,7 +1,7 @@
 // Parallel execution of the experiment harness. The sequential path
 // (All) and the pooled path (AllParallel) must produce byte-identical
 // artifacts: every randomized stage is seeded by the fixed experiment Seed
-// (or a runner.DeriveSeed of it), never by scheduling order, and every
+// (or a par.DeriveSeed of it), never by scheduling order, and every
 // parallel loop writes into slots indexed by task position. The
 // determinism tests pin this equivalence.
 package experiments
@@ -12,8 +12,8 @@ import (
 	"sync"
 
 	"repro/internal/bench"
+	"repro/internal/par"
 	"repro/internal/place"
-	"repro/internal/runner"
 )
 
 // AllParallel runs every experiment over a worker pool and returns the
@@ -25,16 +25,16 @@ import (
 // worker counts are not supported (artifacts would still be correct, but
 // the worker budget would be whichever call set it last).
 func AllParallel(workers int) []Artifact {
-	prev := runner.SetParallelism(workers)
-	defer runner.SetParallelism(prev)
+	prev := par.SetParallelism(workers)
+	defer par.SetParallelism(prev)
 	ids := IDs()
 	arts := make([]Artifact, len(ids))
-	tasks := make([]runner.Task, len(ids))
+	tasks := make([]par.Task, len(ids))
 	for i, id := range ids {
 		i, id := i, id
-		tasks[i] = runner.Task{
+		tasks[i] = par.Task{
 			ID: id,
-			Run: func(runner.Task) error {
+			Run: func(par.Task) error {
 				text, err := Run(id)
 				if err != nil {
 					return fmt.Errorf("experiments: %s: %w", id, err)
@@ -44,7 +44,7 @@ func AllParallel(workers int) []Artifact {
 			},
 		}
 	}
-	pool := runner.NewPool(workers)
+	pool := par.NewPool(workers)
 	pool.BaseSeed = Seed
 	if err := pool.Run(tasks); err != nil {
 		panic(err) // only unknown IDs error, and IDs() is the source of truth

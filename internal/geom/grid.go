@@ -57,9 +57,6 @@ func (g *Grid) Rows() int { return g.rows }
 // Pitch returns the cell size in micrometers.
 func (g *Grid) Pitch() int64 { return g.pitch }
 
-// Bounds returns the region the grid covers.
-func (g *Grid) Bounds() Rect { return g.bounds }
-
 // NumCells returns the total cell count.
 func (g *Grid) NumCells() int { return g.cols * g.rows }
 

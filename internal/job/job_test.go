@@ -1,11 +1,13 @@
 package job
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -312,6 +314,84 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	if !strings.HasSuffix(strings.TrimRight(string(data), "\n"), `"}`) {
 		t.Errorf("appended record did not terminate cleanly: %q", data)
+	}
+}
+
+// TestJournalCrashAtEveryByte is the journal's crash-point proof: a
+// crash may cut the file at any byte. For every cut of a multi-record
+// journal, reopening, appending, and reopening again must replay every
+// record that was complete before the cut plus the one appended after
+// it — an acknowledged Append is never lost to an earlier torn write.
+func TestJournalCrashAtEveryByte(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "full.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []record{
+		{E: recSubmit, ID: "job-a-000001", Op: "stats", Key: "ka", Envelope: json.RawMessage(`{"bench":"a"}`)},
+		{E: recStart, ID: "job-a-000001"},
+		{E: recFinish, ID: "job-a-000001", Status: StatusCompleted, Cache: "miss", ContentType: "text/plain", Body: []byte("ok")},
+		{E: recSubmit, ID: "job-b-000002", Op: "pnr", Key: "kb", Envelope: json.RawMessage(`{}`)},
+		{E: recCancel, ID: "job-b-000002"},
+	} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := j.records()
+	j.Close()
+
+	after := record{E: recSubmit, ID: "job-c-000003", Op: "stats", Key: "kc", Envelope: json.RawMessage(`{}`)}
+	cut := filepath.Join(dir, "cut.jsonl")
+	for n := 0; n <= len(full); n++ {
+		if err := os.WriteFile(cut, full[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		complete := bytes.Count(full[:n], []byte("\n"))
+		atBoundary := n == 0 || full[n-1] == '\n'
+
+		j1, err := OpenJournal(cut)
+		if err != nil {
+			t.Fatalf("cut at %d: open: %v", n, err)
+		}
+		if got := j1.Dropped(); (got == 1) == atBoundary || got > 1 {
+			t.Errorf("cut at %d: first open dropped %d lines (line boundary: %v)", n, got, atBoundary)
+		}
+		if err := j1.Append(after); err != nil {
+			t.Fatalf("cut at %d: append: %v", n, err)
+		}
+		j1.Close()
+
+		j2, err := OpenJournal(cut)
+		if err != nil {
+			t.Fatalf("cut at %d: reopen: %v", n, err)
+		}
+		got := j2.records()
+		j2.Close()
+		if j2.Dropped() != 0 {
+			t.Errorf("cut at %d: reopen dropped %v", n, j2.DroppedLines())
+		}
+		if len(got) != complete+1 {
+			t.Errorf("cut at %d: replayed %d records, want %d", n, len(got), complete+1)
+			continue
+		}
+		if !reflect.DeepEqual(got[:complete], want[:complete]) {
+			t.Errorf("cut at %d: records before the cut changed on replay", n)
+		}
+		if last := got[complete]; last.E != after.E || last.ID != after.ID {
+			t.Errorf("cut at %d: appended record replayed as %s/%s", n, last.E, last.ID)
+		}
 	}
 }
 

@@ -50,9 +50,9 @@ type record struct {
 	// Trace is the W3C traceparent of the submitting request, so a job
 	// replayed on a later boot still correlates with the boot that
 	// accepted it.
-	Trace string `json:"trace,omitempty"`
-	Status   Status          `json:"status,omitempty"`
-	Cache    string          `json:"cache,omitempty"`
+	Trace  string `json:"trace,omitempty"`
+	Status Status `json:"status,omitempty"`
+	Cache  string `json:"cache,omitempty"`
 	// ContentType and Body carry a completed job's materialized result;
 	// Body is base64 on the wire (encoding/json's []byte rendering).
 	ContentType string `json:"content_type,omitempty"`
@@ -92,6 +92,11 @@ type DroppedLine struct {
 // replayable record, and leaves the file positioned for appends. A
 // truncated or corrupt line — the expected artifact of an unclean
 // shutdown mid-write — is skipped, not fatal; Dropped reports how many.
+//
+// Every acknowledged Append ends in a newline, so a final line without
+// one is a torn write: it is never replayed, and the file is truncated
+// back to the end of the last complete line before any append. Otherwise
+// the next record would be glued onto the torn bytes and lost with them.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -100,6 +105,19 @@ func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{f: f, path: path}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	// complete is the byte offset just past the last newline-terminated
+	// line; torn is set once the scanner hands out an unterminated tail.
+	var complete int64
+	torn := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if adv > 0 && data[adv-1] != '\n' {
+			torn = true
+		} else {
+			complete += int64(adv)
+		}
+		return adv, tok, err
+	})
 	for lineno := 1; sc.Scan(); lineno++ {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -108,6 +126,10 @@ func OpenJournal(path string) (*Journal, error) {
 		var r record
 		if err := json.Unmarshal(line, &r); err != nil {
 			j.dropped = append(j.dropped, DroppedLine{Line: lineno, Reason: err.Error()})
+			continue
+		}
+		if torn {
+			j.dropped = append(j.dropped, DroppedLine{Line: lineno, Reason: "unterminated final line"})
 			continue
 		}
 		if r.E == "" || r.ID == "" {
@@ -119,6 +141,16 @@ func OpenJournal(path string) (*Journal, error) {
 	if err := sc.Err(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("job: reading journal: %w", err)
+	}
+	if torn {
+		if err := f.Truncate(complete); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("job: truncating torn journal tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("job: syncing journal: %w", err)
+		}
 	}
 	return j, nil
 }

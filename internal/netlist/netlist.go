@@ -110,10 +110,6 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumNets returns the connection count.
 func (g *Graph) NumNets() int { return len(g.nets) }
 
-// Nodes returns the nodes in device order. The slice is shared; treat it
-// as read-only.
-func (g *Graph) Nodes() []Node { return g.nodes }
-
 // Nets returns the nets in device order. The slice is shared; treat it as
 // read-only.
 func (g *Graph) Nets() []Net { return g.nets }

@@ -95,9 +95,8 @@ func IsBudgetKey(key any) bool {
 }
 
 // ContextWithBudget attaches a CPU budget to the context. Parallel
-// sections below (the multi-replica annealer, the concurrent net router)
-// size their worker fan-out against it via AcquireWorkers. A nil budget
-// returns ctx unchanged.
+// sections below (the multi-replica annealer) size their worker fan-out
+// against it via AcquireWorkers. A nil budget returns ctx unchanged.
 func ContextWithBudget(ctx context.Context, b *Budget) context.Context {
 	if b == nil {
 		return ctx

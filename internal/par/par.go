@@ -2,10 +2,9 @@
 // a bounded worker pool, order-preserving parallel loops, the
 // seed-derivation rule that keeps randomized work deterministic under
 // any scheduling, and the shared CPU budget that bounds nested
-// parallelism. It sits below both the solvers (place, route) and the
-// experiment harness (runner), which re-exports it — solvers import par
-// directly so the harness can keep importing the solvers without a
-// cycle.
+// parallelism. It is the one parallelism primitive of the repository:
+// the placer's replica annealing, the experiment harness, the server's
+// batch fan-out, and runner's timing harness all import it directly.
 //
 // The determinism contract every user of this package relies on:
 //

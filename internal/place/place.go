@@ -126,15 +126,6 @@ func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 // WithUtilization sets the die utilization fraction (0 < u <= 1).
 func WithUtilization(u float64) Option { return func(o *Options) { o.Utilization = u } }
 
-// WithCoolingRate sets the annealer's geometric cooling rate (0 < r < 1).
-func WithCoolingRate(r float64) Option { return func(o *Options) { o.CoolingRate = r } }
-
-// WithMovesPerTemp sets the annealer's moves per temperature level.
-func WithMovesPerTemp(n int) Option { return func(o *Options) { o.MovesPerTemp = n } }
-
-// WithInitialAccept sets the annealer's target initial acceptance rate.
-func WithInitialAccept(a float64) Option { return func(o *Options) { o.InitialAccept = a } }
-
 // WithReplicas sets the annealer's parallel-tempering replica count
 // (<= 1 selects the classic single-replica schedule).
 func WithReplicas(n int) Option { return func(o *Options) { o.Replicas = n } }

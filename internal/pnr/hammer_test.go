@@ -15,8 +15,8 @@ import (
 
 // The determinism hammer pins the parallel PnR contract end to end: for a
 // fixed (device, options, seed, replica count), the flow's artifact is
-// byte-identical whether the replicas and net searches run wide, run under
-// a starved CPU budget, or run strictly sequentially — and not just the
+// byte-identical whether the replicas run wide, run under a starved CPU
+// budget, or run strictly sequentially — and not just the
 // artifact: the search-effort counters (anneal moves, maze expansions)
 // must match too, because the contract is "same computation, reordered",
 // not "equivalent result".
@@ -69,8 +69,8 @@ func hammerRun(t *testing.T, ctx context.Context, d *core.Device, opts Options) 
 
 // drainedContext returns a context whose CPU budget has zero free tokens,
 // which forces every parallel section in the flow down to width 1: the
-// replica loop and the net searches run on the calling goroutine in plain
-// program order. This is the sequential golden schedule.
+// replica loop runs on the calling goroutine in plain program order. This
+// is the sequential golden schedule.
 func drainedContext(t *testing.T) context.Context {
 	t.Helper()
 	b := par.NewBudget(1)
@@ -87,8 +87,6 @@ type hammerVariant struct {
 	// budgetCap sizes the context budget: 0 = no budget (full width),
 	// otherwise a budget with budgetCap-1 extra tokens.
 	budgetCap int
-	// routeWorkers is the speculative net-search width (0 = sequential).
-	routeWorkers int
 	// runs repeats the variant to catch scheduling-dependent flakiness.
 	runs int
 }
@@ -105,9 +103,8 @@ func (v hammerVariant) context() context.Context {
 func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammerVariant) {
 	t.Helper()
 	variants = []hammerVariant{
-		{name: "wide", budgetCap: 0, routeWorkers: 0, runs: 1},
-		{name: "wide+nets", budgetCap: 0, routeWorkers: 4, runs: 2},
-		{name: "budget2+nets", budgetCap: 2, routeWorkers: 8, runs: 1},
+		{name: "wide", budgetCap: 0, runs: 2},
+		{name: "budget2", budgetCap: 2, runs: 1},
 	}
 	switch {
 	case os.Getenv(hammerFullEnv) != "":
@@ -118,7 +115,6 @@ func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammer
 	case testing.Short():
 		devices = []string{"rotary_pcr", "aquaflex_3b", "hiv_diagnostics"}
 		reps = []int{1, 4}
-		variants = variants[1:] // keep the two widest schedules
 		variants[0].runs = 1
 	default:
 		devices = []string{
@@ -132,9 +128,9 @@ func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammer
 
 // TestDeterminismHammer runs the matrix: for each device and replica
 // count, compute the sequential golden under a drained budget, then
-// demand that every parallel schedule — full-width replicas, speculative
-// net routing, a starved two-slot budget, repeated runs — reproduces it
-// byte for byte, counters included.
+// demand that every parallel schedule — full-width replicas, a starved
+// two-slot budget, repeated runs — reproduces it byte for byte, counters
+// included.
 func TestDeterminismHammer(t *testing.T) {
 	devices, reps, variants := hammerMatrix(t)
 	for _, name := range devices {
@@ -145,8 +141,7 @@ func TestDeterminismHammer(t *testing.T) {
 				golden := hammerRun(t, drainedContext(t), d,
 					NewOptions(WithSeed(1), WithReplicas(n)))
 				for _, v := range variants {
-					opts := NewOptions(WithSeed(1), WithReplicas(n),
-						WithParallelNets(v.routeWorkers))
+					opts := NewOptions(WithSeed(1), WithReplicas(n))
 					for run := 0; run < v.runs; run++ {
 						got := hammerRun(t, v.context(), d, opts)
 						if !bytes.Equal(got, golden) {

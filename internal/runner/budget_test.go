@@ -6,10 +6,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 func TestBudgetTryAcquireNeverExceedsCap(t *testing.T) {
-	b := NewBudget(3)
+	b := par.NewBudget(3)
 	if b.Cap() != 3 {
 		t.Fatalf("Cap = %d, want 3", b.Cap())
 	}
@@ -41,11 +43,11 @@ func TestBudgetReleaseBeyondCapacityPanics(t *testing.T) {
 			t.Fatal("Release beyond capacity did not panic")
 		}
 	}()
-	NewBudget(1).Release(1)
+	par.NewBudget(1).Release(1)
 }
 
 func TestBudgetZeroCapacity(t *testing.T) {
-	b := NewBudget(0) // resolves to NumCPU-1, may legitimately be 0
+	b := par.NewBudget(0) // resolves to NumCPU-1, may legitimately be 0
 	got := b.TryAcquire(4)
 	if got > b.Cap() {
 		t.Fatalf("acquired %d tokens from a %d-token budget", got, b.Cap())
@@ -64,18 +66,18 @@ func TestBudgetPoolInPool(t *testing.T) {
 		budgetCap = 2
 		innerWant = 8
 	)
-	b := NewBudget(budgetCap)
-	ctx := ContextWithBudget(context.Background(), b)
+	b := par.NewBudget(budgetCap)
+	ctx := par.ContextWithBudget(context.Background(), b)
 
 	var extraInFlight atomic.Int64
 	var maxExtra atomic.Int64
 
-	tasks := make([]Task, outer)
+	tasks := make([]par.Task, outer)
 	for i := range tasks {
-		tasks[i] = Task{
+		tasks[i] = par.Task{
 			ID: "outer",
-			Run: func(Task) error {
-				workers, release := AcquireWorkers(ctx, innerWant)
+			Run: func(par.Task) error {
+				workers, release := par.AcquireWorkers(ctx, innerWant)
 				defer release()
 				extra := int64(workers - 1)
 				cur := extraInFlight.Add(extra)
@@ -87,7 +89,7 @@ func TestBudgetPoolInPool(t *testing.T) {
 				}
 				// Hold the tokens across a real inner parallel loop so
 				// sections genuinely overlap.
-				ForEach(workers, innerWant, func(int) {
+				par.ForEach(workers, innerWant, func(int) {
 					time.Sleep(time.Millisecond)
 				})
 				extraInFlight.Add(-extra)
@@ -95,7 +97,7 @@ func TestBudgetPoolInPool(t *testing.T) {
 			},
 		}
 	}
-	if err := NewPool(outer).Run(tasks); err != nil {
+	if err := par.NewPool(outer).Run(tasks); err != nil {
 		t.Fatal(err)
 	}
 	if got := maxExtra.Load(); got > budgetCap {
@@ -112,14 +114,14 @@ func TestBudgetPoolInPool(t *testing.T) {
 // sequential), not wait for tokens that can never arrive.
 func TestBudgetNoDeadlockUnderSaturatedGate(t *testing.T) {
 	gate := NewGate(1, 42)
-	b := NewBudget(1)
+	b := par.NewBudget(1)
 	// Exhaust the budget from outside so the gated work finds it empty.
 	if got := b.TryAcquire(1); got != 1 {
 		t.Fatal("failed to drain budget")
 	}
 	defer b.Release(1)
 
-	ctx := ContextWithBudget(context.Background(), b)
+	ctx := par.ContextWithBudget(context.Background(), b)
 	done := make(chan error, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -127,13 +129,13 @@ func TestBudgetNoDeadlockUnderSaturatedGate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			done <- gate.Do(ctx, "req", func(uint64) error {
-				workers, release := AcquireWorkers(ctx, 8)
+				workers, release := par.AcquireWorkers(ctx, 8)
 				defer release()
 				if workers != 1 {
 					t.Errorf("workers = %d on an empty budget, want 1", workers)
 				}
 				var n atomic.Int64
-				ForEach(workers, 16, func(int) { n.Add(1) })
+				par.ForEach(workers, 16, func(int) { n.Add(1) })
 				if n.Load() != 16 {
 					t.Errorf("inner loop ran %d of 16 iterations", n.Load())
 				}
@@ -157,13 +159,13 @@ func TestBudgetNoDeadlockUnderSaturatedGate(t *testing.T) {
 }
 
 func TestAcquireWorkersWithoutBudget(t *testing.T) {
-	workers, release := AcquireWorkers(context.Background(), 6)
+	workers, release := par.AcquireWorkers(context.Background(), 6)
 	defer release()
 	if workers != 6 {
-		t.Fatalf("unbudgeted AcquireWorkers(6) = %d, want 6", workers)
+		t.Fatalf("unbudgeted par.AcquireWorkers(6) = %d, want 6", workers)
 	}
-	if w, rel := AcquireWorkers(context.Background(), 0); w != 1 {
-		t.Fatalf("AcquireWorkers(0) = %d, want 1", w)
+	if w, rel := par.AcquireWorkers(context.Background(), 0); w != 1 {
+		t.Fatalf("par.AcquireWorkers(0) = %d, want 1", w)
 	} else {
 		rel()
 	}

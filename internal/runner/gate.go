@@ -1,3 +1,7 @@
+// Package runner holds the two pieces of the pipeline's execution layer
+// that sit above the parallelism primitives of package par: the fairness
+// gate that bounds and seeds the server's pipeline work, and the timing
+// harness behind parchmint-bench's "timing" pseudo-experiment.
 package runner
 
 import (
@@ -7,6 +11,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/par"
 )
 
 // ErrSaturated reports that a gate refused admission instead of queueing.
@@ -151,7 +157,7 @@ func (g *Gate) Do(ctx context.Context, id string, fn func(seed uint64) error) er
 		return err
 	}
 	start := time.Now()
-	err := fn(DeriveSeed(g.baseSeed, id))
+	err := fn(par.DeriveSeed(g.baseSeed, id))
 	g.observe(time.Since(start))
 	return err
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 func TestGateDerivesSeeds(t *testing.T) {
@@ -17,8 +19,8 @@ func TestGateDerivesSeeds(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
-	if want := DeriveSeed(2018, "rotary_pcr"); got != want {
-		t.Errorf("seed = %d, want DeriveSeed = %d", got, want)
+	if want := par.DeriveSeed(2018, "rotary_pcr"); got != want {
+		t.Errorf("seed = %d, want par.DeriveSeed = %d", got, want)
 	}
 }
 

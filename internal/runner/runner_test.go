@@ -8,22 +8,23 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/par"
 )
 
 func TestDeriveSeedDeterministicAndSeparated(t *testing.T) {
-	a := DeriveSeed(2018, "table1")
-	if a != DeriveSeed(2018, "table1") {
+	a := par.DeriveSeed(2018, "table1")
+	if a != par.DeriveSeed(2018, "table1") {
 		t.Error("same (base, id) produced different seeds")
 	}
 	seen := map[uint64]string{}
 	for _, id := range []string{"table1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "ext-gradient", ""} {
-		s := DeriveSeed(2018, id)
+		s := par.DeriveSeed(2018, id)
 		if prev, dup := seen[s]; dup {
 			t.Errorf("seed collision between %q and %q", prev, id)
 		}
 		seen[s] = id
 	}
-	if DeriveSeed(2018, "table1") == DeriveSeed(2019, "table1") {
+	if par.DeriveSeed(2018, "table1") == par.DeriveSeed(2019, "table1") {
 		t.Error("base seed does not separate")
 	}
 }
@@ -31,17 +32,17 @@ func TestDeriveSeedDeterministicAndSeparated(t *testing.T) {
 func TestPoolRunsAllTasksOrderIndependent(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		results := make([]int, 50)
-		tasks := make([]Task, 50)
+		tasks := make([]par.Task, 50)
 		var ran atomic.Int64
 		for i := range tasks {
 			i := i
-			tasks[i] = Task{ID: "t", Run: func(Task) error {
+			tasks[i] = par.Task{ID: "t", Run: func(par.Task) error {
 				results[i] = i * i
 				ran.Add(1)
 				return nil
 			}}
 		}
-		if err := NewPool(workers).Run(tasks); err != nil {
+		if err := par.NewPool(workers).Run(tasks); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if ran.Load() != 50 {
@@ -56,15 +57,15 @@ func TestPoolRunsAllTasksOrderIndependent(t *testing.T) {
 }
 
 func TestPoolSeedsFromBaseAndID(t *testing.T) {
-	p := NewPool(4)
+	p := par.NewPool(4)
 	p.BaseSeed = 2018
 	seeds := make([]uint64, 20)
-	tasks := make([]Task, 20)
+	tasks := make([]par.Task, 20)
 	ids := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j",
 		"k", "l", "m", "n", "o", "p", "q", "r", "s", "u"}
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{ID: ids[i], Run: func(tk Task) error {
+		tasks[i] = par.Task{ID: ids[i], Run: func(tk par.Task) error {
 			seeds[i] = tk.Seed
 			return nil
 		}}
@@ -73,7 +74,7 @@ func TestPoolSeedsFromBaseAndID(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range seeds {
-		if want := DeriveSeed(2018, ids[i]); seeds[i] != want {
+		if want := par.DeriveSeed(2018, ids[i]); seeds[i] != want {
 			t.Errorf("task %s seed = %d, want %d", ids[i], seeds[i], want)
 		}
 	}
@@ -82,12 +83,12 @@ func TestPoolSeedsFromBaseAndID(t *testing.T) {
 func TestPoolFirstErrorInTaskOrder(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	tasks := []Task{
-		{ID: "ok", Run: func(Task) error { return nil }},
-		{ID: "slow-fail", Run: func(Task) error { time.Sleep(10 * time.Millisecond); return errA }},
-		{ID: "fast-fail", Run: func(Task) error { return errB }},
+	tasks := []par.Task{
+		{ID: "ok", Run: func(par.Task) error { return nil }},
+		{ID: "slow-fail", Run: func(par.Task) error { time.Sleep(10 * time.Millisecond); return errA }},
+		{ID: "fast-fail", Run: func(par.Task) error { return errB }},
 	}
-	if err := NewPool(3).Run(tasks); !errors.Is(err, errA) {
+	if err := par.NewPool(3).Run(tasks); !errors.Is(err, errA) {
 		t.Errorf("err = %v, want first error in task order (%v)", err, errA)
 	}
 }
@@ -102,9 +103,9 @@ func TestPoolPropagatesPanics(t *testing.T) {
 			t.Errorf("panic value %q lacks task context", r)
 		}
 	}()
-	NewPool(2).Run([]Task{
-		{ID: "fine", Run: func(Task) error { return nil }},
-		{ID: "bad-task", Run: func(Task) error { panic("boom") }},
+	par.NewPool(2).Run([]par.Task{
+		{ID: "fine", Run: func(par.Task) error { return nil }},
+		{ID: "bad-task", Run: func(par.Task) error { panic("boom") }},
 	})
 }
 
@@ -115,7 +116,7 @@ func TestForEachMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 7} {
 		got := make([]int, 100)
-		ForEach(workers, 100, func(i int) { got[i] = 3 * i })
+		par.ForEach(workers, 100, func(i int) { got[i] = 3 * i })
 		for i := range got {
 			if got[i] != seq[i] {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], seq[i])
@@ -125,13 +126,13 @@ func TestForEachMatchesSequential(t *testing.T) {
 }
 
 func TestSetParallelismRoundTrip(t *testing.T) {
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
-	if Parallelism() != 4 {
-		t.Errorf("Parallelism = %d, want 4", Parallelism())
+	prev := par.SetParallelism(4)
+	defer par.SetParallelism(prev)
+	if par.Parallelism() != 4 {
+		t.Errorf("par.Parallelism = %d, want 4", par.Parallelism())
 	}
-	if got := SetParallelism(prev); got != 4 {
-		t.Errorf("SetParallelism returned %d, want 4", got)
+	if got := par.SetParallelism(prev); got != 4 {
+		t.Errorf("par.SetParallelism returned %d, want 4", got)
 	}
 }
 

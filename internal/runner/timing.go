@@ -5,6 +5,7 @@
 // NOT part of "-exp all": its numbers are wall-clock measurements of this
 // machine and run, so it is excluded from the byte-reproducible artifact
 // set the golden tests pin.
+
 package runner
 
 import (
@@ -17,6 +18,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/place"
 	"repro/internal/pnr"
 	"repro/internal/route"
@@ -118,16 +120,16 @@ func TimingTableContext(ctx context.Context, benchmarks []bench.Benchmark, opts 
 	if router == nil {
 		router = route.AStar{}
 	}
-	pool := NewPool(opts.Workers)
+	pool := par.NewPool(opts.Workers)
 	tm := &Timings{}
 	allocs := make([]uint64, len(benchmarks))
-	tasks := make([]Task, len(benchmarks))
+	tasks := make([]par.Task, len(benchmarks))
 	for i, b := range benchmarks {
 		i, b := i, b
-		tasks[i] = Task{
+		tasks[i] = par.Task{
 			ID:   b.Name,
-			Seed: DeriveSeed(opts.Seed, b.Name),
-			Run: func(t Task) error {
+			Seed: par.DeriveSeed(opts.Seed, b.Name),
+			Run: func(t par.Task) error {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				tctx, span := obs.Start(ctx, "timing."+b.Name)

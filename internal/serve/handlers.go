@@ -446,7 +446,6 @@ func (s *Server) execPNR(ctx context.Context, req *request) (cache.Entry, error)
 			pnr.WithRouter(router),
 			pnr.WithSeed(seed),
 			pnr.WithReplicas(s.replicas(req)),
-			pnr.WithParallelNets(s.cfg.RouteWorkers),
 			pnr.WithObserver(s.stageObserver(ctx, res.Device.Name)),
 		}
 		if req.Utilization > 0 {
@@ -536,7 +535,6 @@ func (s *Server) execRender(ctx context.Context, req *request) (cache.Entry, err
 			result, err := pnr.RunContext(ctx, d, pnr.NewOptions(
 				pnr.WithSeed(seed),
 				pnr.WithReplicas(s.replicas(req)),
-				pnr.WithParallelNets(s.cfg.RouteWorkers),
 				pnr.WithObserver(s.stageObserver(ctx, d.Name)),
 			))
 			if err != nil {
@@ -576,10 +574,14 @@ type benchListResponse struct {
 // handleBenchList lists the suite in canonical order, using the shared
 // device cache (Benchmark.Device) so repeated listings build nothing.
 // ?prefix= narrows the listing to benchmarks whose name starts with the
-// prefix; ?format=legacy selects the deprecated bare-array rendering the
-// listing used before the {items, total} envelope.
+// prefix. The listing has one rendering, the {items, total} envelope; any
+// ?format= is refused so clients of the removed bare-array form fail
+// loudly instead of misparsing.
 func (s *Server) handleBenchList(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
+	if format := q.Get("format"); format != "" {
+		return fmt.Errorf("%w: format is not supported, got %q", errBadRequest, format)
+	}
 	prefix := q.Get("prefix")
 	suite := bench.Suite()
 	entries := make([]benchEntry, 0, len(suite))
@@ -597,14 +599,7 @@ func (s *Server) handleBenchList(w http.ResponseWriter, r *http.Request) error {
 			Layers:      len(d.Layers),
 		})
 	}
-	switch format := q.Get("format"); format {
-	case "":
-		return writeJSON(w, r, http.StatusOK, benchListResponse{Items: entries, Total: len(entries)})
-	case "legacy":
-		return writeJSON(w, r, http.StatusOK, entries)
-	default:
-		return fmt.Errorf("%w: format must be \"legacy\" or omitted, got %q", errBadRequest, format)
-	}
+	return writeJSON(w, r, http.StatusOK, benchListResponse{Items: entries, Total: len(entries)})
 }
 
 // handleBenchGet serves one benchmark's ParchMint document.

@@ -14,7 +14,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/obs"
-	"repro/internal/runner"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -251,7 +251,7 @@ func TestCacheKeyMatchesLegacy(t *testing.T) {
 		}
 		seed := req.Seed
 		if seed == 0 {
-			seed = runner.DeriveSeed(s.cfg.BaseSeed, req.Bench)
+			seed = par.DeriveSeed(s.cfg.BaseSeed, req.Bench)
 		}
 		var sb [8]byte
 		binary.LittleEndian.PutUint64(sb[:], seed)

@@ -30,6 +30,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/runner"
 )
 
@@ -62,11 +63,6 @@ type Config struct {
 	// "replicas" field overrides it. Values below 2 keep the classic
 	// single-replica annealing schedule.
 	Replicas int
-	// RouteWorkers is the router's speculative net-search width for pnr
-	// requests; below 2 keeps sequential routing. This knob never changes
-	// response bytes — parallel routing is byte-identical to sequential —
-	// so it takes no part in cache keys.
-	RouteWorkers int
 	// Journal, when non-nil, makes job submissions durable: lifecycle
 	// transitions append to it and New replays it, restoring completed
 	// jobs (re-seeding the result cache) and re-enqueueing interrupted
@@ -156,7 +152,7 @@ func (c Config) traceSample() float64 {
 type Server struct {
 	cfg    Config
 	gate   *runner.Gate
-	budget *runner.Budget
+	budget *par.Budget
 	// budgetVal is the budget boxed once, so the per-request context can
 	// answer budget lookups without re-boxing.
 	budgetVal any
@@ -204,10 +200,10 @@ func New(cfg Config) *Server {
 		cfg:  cfg,
 		gate: runner.NewBoundedGate(cfg.Workers, cfg.queueDepth(), cfg.BaseSeed),
 		// One process-wide CPU ledger for the solvers' nested parallelism
-		// (replica annealing, speculative routing): admitted requests own
+		// (replica annealing): admitted requests own
 		// their goroutine; extra fan-out draws tokens from this budget, so
 		// gate × solver parallelism can never oversubscribe the machine.
-		budget: runner.NewBudget(0),
+		budget: par.NewBudget(0),
 		reg:    obs.NewRegistry(),
 		tracer: obs.NewTracer(cfg.TraceEvents),
 		start:  time.Now(),

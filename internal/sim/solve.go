@@ -194,19 +194,3 @@ func (s *Solution) FlowAt(channel string) (Flow, bool) {
 	}
 	return Flow{}, false
 }
-
-// NetInflow sums signed flow into the given node across all channels —
-// approximately zero for internal nodes (conservation), positive for nodes
-// receiving flow.
-func (s *Solution) NetInflow(node NodeID) float64 {
-	total := 0.0
-	for _, f := range s.Flows {
-		if f.To == node {
-			total += f.Q
-		}
-		if f.From == node {
-			total -= f.Q
-		}
-	}
-	return total
-}

@@ -1,6 +1,6 @@
 # CI entry points. `make check` is the full gate a commit should pass:
 # build, vet, tests, the race detector over the parallel runner, and a
-# short fuzz smoke of the parser and JSON codec.
+# short fuzz smoke of the parser, the JSON codec and the A* frontier.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/mint
 	$(GO) test -fuzz FuzzDeviceJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzCanonCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzAStarMatchesHeap -fuzztime $(FUZZTIME) -run '^$$' ./internal/route
 
 vet:
 	$(GO) vet ./...

@@ -164,6 +164,15 @@ func (g *Grid) Cost(c Cell) int32 {
 	return g.cost[g.index(c)]
 }
 
+// BlockedAt reports whether the cell at flat index i (Row*Cols()+Col) is
+// occupied. It is the hot-loop form of Blocked for callers that step by
+// index and keep i in [0, NumCells()) themselves.
+func (g *Grid) BlockedAt(i int) bool { return g.blocked[i] }
+
+// CostAt returns the routing cost of the cell at flat index i, the index
+// form of Cost under the same contract as BlockedAt.
+func (g *Grid) CostAt(i int) int32 { return g.cost[i] }
+
 // FreeCells returns the number of unblocked cells.
 func (g *Grid) FreeCells() int {
 	n := 0

@@ -149,6 +149,27 @@ func TestGridCost(t *testing.T) {
 	g.AddCost(Cell{99, 99}, 5) // must not panic
 }
 
+// TestGridIndexAccessors pins BlockedAt/CostAt to Blocked/Cost at every
+// in-bounds cell under the Row*Cols()+Col flattening.
+func TestGridIndexAccessors(t *testing.T) {
+	g := mustGrid(t, R(0, 0, 70, 40), 10)
+	g.Block(Cell{6, 0})
+	g.Block(Cell{0, 3})
+	g.AddCost(Cell{3, 2}, 9)
+	g.AddCost(Cell{6, 3}, 4)
+	for row := 0; row < g.Rows(); row++ {
+		for col := 0; col < g.Cols(); col++ {
+			c, i := Cell{col, row}, row*g.Cols()+col
+			if g.BlockedAt(i) != g.Blocked(c) {
+				t.Errorf("BlockedAt(%d) = %v, Blocked(%v) = %v", i, g.BlockedAt(i), c, g.Blocked(c))
+			}
+			if g.CostAt(i) != g.Cost(c) {
+				t.Errorf("CostAt(%d) = %d, Cost(%v) = %d", i, g.CostAt(i), c, g.Cost(c))
+			}
+		}
+	}
+}
+
 func TestGridNeighbors4(t *testing.T) {
 	g := mustGrid(t, R(0, 0, 30, 30), 10) // 3x3
 	mid := g.Neighbors4(nil, Cell{1, 1})

@@ -55,6 +55,37 @@ func TestSearchAllocFreeWithoutTelemetry(t *testing.T) {
 	}
 }
 
+// TestAStarFrontierSteadyState pins the bucket queue's memory: once an
+// arena has run a query, repeating it allocates only the returned path
+// and grows none of the frontier's storage.
+func TestAStarFrontierSteadyState(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc guard is meaningless under -race")
+	}
+	g := allocGrid(t)
+	sources := []geom.Cell{{Col: 0, Row: 0}, {Col: 0, Row: 159}}
+	target := geom.Cell{Col: 159, Row: 80}
+	ctx := context.Background()
+	a := acquireArena(g)
+	defer a.release()
+	if _, _, _, ok := a.astar(ctx, g, sources, target); !ok {
+		t.Fatal("no path on alloc grid")
+	}
+	q := &a.bq
+	nodes, buckets, overflow := cap(q.nodes), cap(q.buckets), cap(q.overflow)
+	avg := testing.AllocsPerRun(20, func() {
+		a.gen++ // what acquireArena does between searches
+		a.astar(ctx, g, sources, target)
+	})
+	if avg > 1 {
+		t.Errorf("A* allocates %.2f allocs/op in steady state, want <= 1 (the path)", avg)
+	}
+	if cap(q.nodes) != nodes || cap(q.buckets) != buckets || cap(q.overflow) != overflow {
+		t.Errorf("frontier grew after warm-up: node/bucket/overflow caps %d/%d/%d -> %d/%d/%d",
+			nodes, buckets, overflow, cap(q.nodes), cap(q.buckets), cap(q.overflow))
+	}
+}
+
 // BenchmarkSearchNoTelemetry is the tracked disabled-path number for the
 // search loop, alongside BenchmarkSearch.
 func BenchmarkSearchNoTelemetry(b *testing.B) {

@@ -26,7 +26,7 @@ type searchArena struct {
 	dist   []int64 // A*: best path cost so far
 	detour []int32 // Hadlock: detour count
 	// frontier storage, reused across searches.
-	heap    []pqItem
+	bq      bucketQueue
 	queue   []geom.Cell
 	next    []geom.Cell
 	scratch []geom.Cell
@@ -55,7 +55,6 @@ func acquireArena(g *geom.Grid) *searchArena {
 		}
 		a.gen = 1
 	}
-	a.heap = a.heap[:0]
 	a.queue = a.queue[:0]
 	a.next = a.next[:0]
 	return a
@@ -95,59 +94,141 @@ func (a *searchArena) unwind(target geom.Cell) []geom.Cell {
 	return out
 }
 
-// pqLess is the frontier order of the best-first engines: priority, then
-// insertion sequence. seq is unique per pushed item, so the order is
-// total and every correct heap pops the exact same sequence — expansion
-// order (and with it every routed artifact) is implementation-independent.
-func pqLess(x, y pqItem) bool {
-	if x.prio != y.prio {
-		return x.prio < y.prio
-	}
-	return x.seq < y.seq
+// bucketWindow is the number of consecutive priorities the bucket queue
+// indexes directly. Wider spans (sources far apart, large history costs)
+// spill into the overflow list instead of growing the bucket array.
+const bucketWindow = 4096
+
+// qnode is one frontier entry in the bucket queue's slab: a cell index
+// and the next entry of the same bucket (or of the free list). Its
+// priority is the bucket's, so the node carries no priority at all.
+type qnode struct {
+	cell, next int32
 }
 
-// heapPush inserts an item into the arena's binary heap. A concrete
-// []pqItem heap replaces container/heap: no interface boxing per push and
-// pop, which was the router's dominant allocation source.
-func (a *searchArena) heapPush(it pqItem) {
-	h := append(a.heap, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !pqLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	a.heap = h
+// bucket is a FIFO list of slab nodes; 0 (the slab's sentinel) is nil.
+type bucket struct {
+	head, tail int32
 }
 
-// heapPop removes and returns the least item.
-func (a *searchArena) heapPop() pqItem {
-	h := a.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
+// overflowItem is a frontier entry whose priority lies past the window.
+type overflowItem struct {
+	cell int32
+	prio int64
+}
+
+// bucketQueue is the A* frontier: a Dial-style monotone priority queue
+// that pops entries by (priority, push order) — exactly the order of a
+// binary heap keyed on (prio, seq) — provided no push is below the last
+// popped priority. A* guarantees that: every step costs at least 1 and
+// the Manhattan heuristic changes by at most 1 per step, so f = g + h
+// never decreases along an expansion.
+//
+// Bucket k holds priority base+k as a FIFO threaded through one node
+// slab; popped nodes go on a free list that pushes reuse first, so the
+// slab never holds more nodes than the frontier's peak size. Priorities
+// at or past base+bucketWindow wait in overflow, in push order; when the
+// window drains, the window rebases at the least overflow priority and
+// moves the entries that now fit into their buckets, still in push
+// order. Window entries all precede overflow entries in priority, so the
+// pop order is unchanged.
+type bucketQueue struct {
+	nodes    []qnode // slab; nodes[0] is the nil sentinel
+	free     int32   // free-list head
+	buckets  []bucket
+	base     int64 // priority of buckets[0]
+	cur      int   // no bucket below cur holds a node
+	top      int   // no bucket above top holds a node
+	overflow []overflowItem
+}
+
+// reset empties the queue and anchors the window at base, which must not
+// exceed the first priority pushed.
+func (q *bucketQueue) reset(base int64) {
+	if q.buckets == nil {
+		q.buckets = make([]bucket, bucketWindow)
+	}
+	if q.cur <= q.top {
+		clear(q.buckets[q.cur : q.top+1])
+	}
+	q.nodes = append(q.nodes[:0], qnode{})
+	q.free = 0
+	q.base, q.cur, q.top = base, 0, -1
+	q.overflow = q.overflow[:0]
+}
+
+// push enqueues cell at priority prio.
+func (q *bucketQueue) push(cell int32, prio int64) {
+	k := prio - q.base
+	if k >= bucketWindow {
+		q.overflow = append(q.overflow, overflowItem{cell: cell, prio: prio})
+		return
+	}
+	q.append(int(k), cell)
+}
+
+// append links a node for cell at the tail of bucket k.
+func (q *bucketQueue) append(k int, cell int32) {
+	n := q.free
+	if n != 0 {
+		q.free = q.nodes[n].next
+		q.nodes[n] = qnode{cell: cell}
+	} else {
+		n = int32(len(q.nodes))
+		q.nodes = append(q.nodes, qnode{cell: cell})
+	}
+	b := &q.buckets[k]
+	if b.tail == 0 {
+		b.head = n
+	} else {
+		q.nodes[b.tail].next = n
+	}
+	b.tail = n
+	if k > q.top {
+		q.top = k
+	}
+}
+
+// pop dequeues the least-priority, earliest-pushed entry. ok is false
+// when the queue is empty.
+func (q *bucketQueue) pop() (cell int32, prio int64, ok bool) {
 	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && pqLess(h[l], h[least]) {
-			least = l
+		for ; q.cur <= q.top; q.cur++ {
+			b := &q.buckets[q.cur]
+			if n := b.head; n != 0 {
+				cell = q.nodes[n].cell
+				b.head = q.nodes[n].next
+				if b.head == 0 {
+					b.tail = 0
+				}
+				q.nodes[n].next = q.free
+				q.free = n
+				return cell, q.base + int64(q.cur), true
+			}
 		}
-		if r < n && pqLess(h[r], h[least]) {
-			least = r
+		if len(q.overflow) == 0 {
+			return 0, 0, false
 		}
-		if least == i {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+		q.rebase()
 	}
-	a.heap = h
-	return top
 }
 
-func (a *searchArena) heapLen() int { return len(a.heap) }
+// rebase moves the drained window to the least overflow priority and
+// pulls the overflow entries that now fit into their buckets, keeping
+// the rest in push order.
+func (q *bucketQueue) rebase() {
+	base := q.overflow[0].prio
+	for _, it := range q.overflow[1:] {
+		base = min(base, it.prio)
+	}
+	q.base, q.cur, q.top = base, 0, -1
+	kept := q.overflow[:0]
+	for _, it := range q.overflow {
+		if k := it.prio - base; k < bucketWindow {
+			q.append(int(k), it.cell)
+		} else {
+			kept = append(kept, it)
+		}
+	}
+	q.overflow = kept
+}

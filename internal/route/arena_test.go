@@ -3,12 +3,10 @@ package route
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/xrand"
 )
 
 // TestArenaReuseAcrossGridSizes drives one goroutine's arena through
@@ -106,34 +104,6 @@ type errResult struct {
 func (e errResult) Error() string {
 	return fmt.Sprintf("%s query %d diverged from sequential: len %d exp %d, want len %d exp %d",
 		e.engine, e.query, e.gotLen, e.gotExp, e.wantLen, e.wantExp)
-}
-
-// TestArenaHeapOrder is the determinism keystone for the concrete heap:
-// (prio, seq) is a total order, so the pop sequence must be exactly the
-// sorted order for arbitrary push interleavings.
-func TestArenaHeapOrder(t *testing.T) {
-	rng := xrand.New(42)
-	for trial := 0; trial < 50; trial++ {
-		a := acquireArena(mustGrid(t))
-		n := 1 + rng.Intn(200)
-		items := make([]pqItem, n)
-		for i := range items {
-			items[i] = pqItem{prio: int64(rng.Intn(20)), seq: int64(i)}
-			a.heapPush(items[i])
-		}
-		sort.Slice(items, func(i, j int) bool { return pqLess(items[i], items[j]) })
-		for i := range items {
-			got := a.heapPop()
-			if got.prio != items[i].prio || got.seq != items[i].seq {
-				t.Fatalf("trial %d: pop %d = (%d,%d), want (%d,%d)",
-					trial, i, got.prio, got.seq, items[i].prio, items[i].seq)
-			}
-		}
-		if a.heapLen() != 0 {
-			t.Fatal("heap not drained")
-		}
-		a.release()
-	}
 }
 
 func mustGrid(t *testing.T) *geom.Grid {

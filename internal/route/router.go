@@ -10,6 +10,7 @@ package route
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -138,14 +139,6 @@ func (Lee) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target
 	return nil, expansions, false
 }
 
-// pqItem is one frontier entry of the best-first engines.
-type pqItem struct {
-	cell geom.Cell
-	prio int64
-	g    int64 // cost so far
-	seq  int64 // FIFO tiebreak for determinism
-}
-
 // AStar is best-first search with the Manhattan-distance heuristic:
 // shortest paths like Lee, with far fewer expansions on open dies.
 type AStar struct{}
@@ -157,21 +150,34 @@ func (AStar) Name() string { return "astar" }
 func (AStar) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target geom.Cell) ([]geom.Cell, int, bool) {
 	a := acquireArena(g)
 	defer a.release()
-	h := func(c geom.Cell) int64 {
-		dx := int64(c.Col - target.Col)
-		if dx < 0 {
-			dx = -dx
-		}
-		dy := int64(c.Row - target.Row)
-		if dy < 0 {
-			dy = -dy
-		}
-		return dx + dy
+	path, expansions, _, ok := a.astar(ctx, g, sources, target)
+	return path, expansions, ok
+}
+
+// astar is AStar.Search on an acquired arena; it also returns the
+// frontier push count. The frontier is the arena's bucket queue, which
+// pops in (f, push order), and neighbors are visited +col, -col, +row,
+// -row by flat cell index, so expansions and paths are those of a binary
+// heap keyed on (f, seq) over Grid.Neighbors4.
+func (a *searchArena) astar(ctx context.Context, g *geom.Grid, sources []geom.Cell, target geom.Cell) (path []geom.Cell, expansions, pushes int, ok bool) {
+	cols, rows := g.Cols(), g.Rows()
+	tc, tr := target.Col, target.Row
+	ti := int32(-1) // out-of-bounds targets are never reached
+	if g.InBounds(target) {
+		ti = a.index(target)
 	}
+	h := func(col, row int) int64 { return int64(absInt(col-tc) + absInt(row-tr)) }
 	so := newSearchObs(ctx, "astar")
-	// seq doubles as the frontier push count: it increments at every
-	// heapPush and nowhere else.
-	var seq int64
+	// Anchor the queue at the least source priority: sources are the only
+	// pushes that do not follow from an expansion.
+	base := int64(math.MaxInt64)
+	for _, s := range sources {
+		if g.InBounds(s) {
+			base = min(base, h(s.Col, s.Row))
+		}
+	}
+	q := &a.bq
+	q.reset(base)
 	for _, s := range sources {
 		if !g.InBounds(s) {
 			continue
@@ -180,46 +186,73 @@ func (AStar) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, targ
 			a.visit(i)
 			a.dist[i] = 0
 			a.parent[i] = -2
-			a.heapPush(pqItem{cell: s, prio: h(s), g: 0, seq: seq})
-			seq++
+			q.push(i, h(s.Col, s.Row))
+			pushes++
 		}
 	}
-	expansions := 0
-	for a.heapLen() > 0 {
-		it := a.heapPop()
-		i := a.index(it.cell)
-		if it.g > a.dist[i] {
+	for {
+		i, f, more := q.pop()
+		if !more {
+			break
+		}
+		col, row := int(i)%cols, int(i)/cols
+		cg := f - h(col, row)
+		if cg > a.dist[i] {
 			continue // stale entry
 		}
 		if expansions%ExpansionBatch == 0 {
-			so.flush(expansions, int(seq))
+			so.flush(expansions, pushes)
 			if ctx.Err() != nil {
-				return nil, expansions, false
+				return nil, expansions, pushes, false
 			}
 		}
 		expansions++
-		if it.cell == target {
-			so.flush(expansions, int(seq))
-			return a.unwind(it.cell), expansions, true
+		if i == ti {
+			so.flush(expansions, pushes)
+			return a.unwind(target), expansions, pushes, true
 		}
-		a.scratch = g.Neighbors4(a.scratch[:0], it.cell)
-		for _, nb := range a.scratch {
-			if !passable(g, nb, target) {
+		var nbs [4]int32
+		var nbh [4]int64
+		n := 0
+		if col+1 < cols {
+			nbs[n], nbh[n] = i+1, h(col+1, row)
+			n++
+		}
+		if col > 0 {
+			nbs[n], nbh[n] = i-1, h(col-1, row)
+			n++
+		}
+		if row+1 < rows {
+			nbs[n], nbh[n] = i+int32(cols), h(col, row+1)
+			n++
+		}
+		if row > 0 {
+			nbs[n], nbh[n] = i-int32(cols), h(col, row-1)
+			n++
+		}
+		for k, ni := range nbs[:n] {
+			if ni != ti && g.BlockedAt(int(ni)) {
 				continue
 			}
-			ni := a.index(nb)
-			ng := it.g + 1 + int64(g.Cost(nb))
+			ng := cg + 1 + int64(g.CostAt(int(ni)))
 			if !a.visited(ni) || ng < a.dist[ni] {
 				a.visit(ni)
 				a.dist[ni] = ng
 				a.parent[ni] = i
-				a.heapPush(pqItem{cell: nb, prio: ng + h(nb), g: ng, seq: seq})
-				seq++
+				q.push(ni, ng+nbh[k])
+				pushes++
 			}
 		}
 	}
-	so.flush(expansions, int(seq))
-	return nil, expansions, false
+	so.flush(expansions, pushes)
+	return nil, expansions, pushes, false
+}
+
+func absInt(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // Hadlock is detour-count best-first search: priority is the number of

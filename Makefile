@@ -1,6 +1,7 @@
 # CI entry points. `make check` is the full gate a commit should pass:
 # build, vet, tests, the race detector over the parallel runner, and a
-# short fuzz smoke of the parser, the JSON codec and the A* frontier.
+# short fuzz smoke of the parser, the JSON codec, the A* frontier and the
+# annealer's move undo.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -36,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDeviceJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzCanonCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzAStarMatchesHeap -fuzztime $(FUZZTIME) -run '^$$' ./internal/route
+	$(GO) test -fuzz FuzzAnnealUndo -fuzztime $(FUZZTIME) -run '^$$' ./internal/place
 
 vet:
 	$(GO) vet ./...

@@ -400,6 +400,10 @@ func (s *Store) finish(j *Job, ent cache.Entry, outcome string, err error) {
 		s.journalAppend(record{E: recFinish, ID: j.id, Status: st,
 			Error: err.Error(), Code: code, HTTPStatus: httpStatus})
 	}
+	// Order: status, then events. Get can report the terminal status
+	// before the terminal events below are published, so a reader that
+	// needs the done event waits on the event stream (Events' changed
+	// channel), not on the status.
 	j.mu.Lock()
 	j.status = st
 	j.mu.Unlock()

@@ -41,6 +41,30 @@ func waitTerminal(t *testing.T, s *Store, id string) Snapshot {
 	}
 }
 
+// waitEventsTerminal returns a job's whole event stream once the stream is
+// terminal. finish turns the status terminal before it publishes the
+// terminal events, so a terminal status does not yet mean a terminal
+// stream.
+func waitEventsTerminal(t *testing.T, s *Store, id string) []Event {
+	t.Helper()
+	deadline := time.NewTimer(5 * time.Second)
+	defer deadline.Stop()
+	for {
+		evs, terminal, changed, err := s.Events(id, 0)
+		if err != nil {
+			t.Fatalf("Events(%s): %v", id, err)
+		}
+		if terminal {
+			return evs
+		}
+		select {
+		case <-changed:
+		case <-deadline.C:
+			t.Fatalf("event stream of %s never turned terminal", id)
+		}
+	}
+}
+
 func TestSubmitRunsToCompletion(t *testing.T) {
 	s := NewStore(Config{Exec: instantExec, Workers: 2})
 	defer s.Close()
@@ -63,10 +87,7 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 		t.Errorf("result = %q / %q", ent.Body, outcome)
 	}
 	// The event stream is well-formed: ends with exactly one done event.
-	evs, terminal, _, err := s.Events(snap.ID, 0)
-	if err != nil || !terminal {
-		t.Fatalf("Events: err=%v terminal=%v", err, terminal)
-	}
+	evs := waitEventsTerminal(t, s, snap.ID)
 	if n := len(evs); n == 0 || evs[n-1].Type != EventDone {
 		t.Errorf("stream does not end in done: %+v", evs)
 	}

@@ -13,14 +13,7 @@ func TestMoveKernelAllocFreeWithoutTelemetry(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard is meaningless under -race")
 	}
-	d := benchDevice(t, "rotary_pcr")
-	die := DieFor(d, 0.35)
-	start, err := greedyPlace(d, die)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := newAnnealState(d, start, 1)
-	st.window = die.Dx()
+	st := annealStateFor(t, benchDevice(t, "rotary_pcr"), 1)
 	// The kernel amortizes rare slice growth (dirty set, overlap buckets);
 	// warm it first, then require a near-zero steady state.
 	for i := 0; i < 2000; i++ {
@@ -36,14 +29,7 @@ func TestMoveKernelAllocFreeWithoutTelemetry(t *testing.T) {
 // same kernel as BenchmarkAnnealMoves, named so the comparison against a
 // telemetry-enabled context is explicit in benchmark output.
 func BenchmarkAnnealMovesNoTelemetry(b *testing.B) {
-	d := benchDevice(b, "rotary_pcr")
-	die := DieFor(d, 0.35)
-	start, err := greedyPlace(d, die)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := newAnnealState(d, start, 1)
-	st.window = die.Dx()
+	st := annealStateFor(b, benchDevice(b, "rotary_pcr"), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

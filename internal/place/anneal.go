@@ -83,11 +83,30 @@ type annealState struct {
 	bestPlaced  []bool
 	dirty       []int32
 	isDirty     []bool
+	// undo is the pre-move record a rejected move is restored from.
+	undo moveUndo
 	// replica identifies this state in multi-replica runs (-1 for the
 	// classic single-replica schedule); replicaLabel is its pre-rendered
 	// metric label so the batch flush does no conversions.
 	replica      int
 	replicaLabel string
+}
+
+// moveUndo saves what one proposed move overwrites, so a rejected move is
+// written back instead of being replayed in reverse: the moved components'
+// origins and inflated footprints, the cached HPWL of their nets, and the
+// cost. Restoring the cost verbatim equals replaying only because every
+// delta is exact (TestAnnealCostMatchesFullCost); hpwl is preallocated at
+// construction for the two components with the most nets, so saving never
+// allocates.
+type moveUndo struct {
+	n       int // moved components: 1 for a displacement, 2 for a swap
+	comps   [2]int32
+	origins [2]geom.Point
+	infl    [2]geom.Rect
+	cost    float64
+	// hpwl holds netHPWL over netsOf[comps[0]], then netsOf[comps[1]].
+	hpwl []int64
 }
 
 // Place runs the annealing schedule and returns a legalized placement.
@@ -253,7 +272,6 @@ func newAnnealState(d *core.Device, start *Placement, seed uint64) *annealState 
 	ix := d.Index()
 	st.netsOf = make([][]int32, n)
 	st.pins = make([][]pinRef, len(d.Connections))
-	st.netHPWL = make([]int64, len(d.Connections))
 	for i := range d.Connections {
 		cn := &d.Connections[i]
 		for _, t := range cn.Targets() {
@@ -266,8 +284,29 @@ func newAnnealState(d *core.Device, start *Placement, seed uint64) *annealState 
 				continue
 			}
 			st.pins[i] = append(st.pins[i], pinRef{comp: k, off: port.Point()})
-			st.netsOf[k] = append(st.netsOf[k], int32(i))
+			// A net with several pins on one component is listed once:
+			// a move must count that net's HPWL change once. Nets are
+			// visited in index order, so a repeat is always the tail.
+			if nets := st.netsOf[k]; len(nets) == 0 || nets[len(nets)-1] != int32(i) {
+				st.netsOf[k] = append(nets, int32(i))
+			}
 		}
+	}
+	// A swap saves the nets of two components, so the undo buffer holds
+	// the two longest net lists. It shares netHPWL's allocation.
+	var most, second int
+	for _, nets := range st.netsOf {
+		if l := len(nets); l > most {
+			most, second = l, most
+		} else if l > second {
+			second = l
+		}
+	}
+	nc := len(d.Connections)
+	buf := make([]int64, nc+most+second)
+	st.netHPWL = buf[:nc:nc]
+	st.undo.hpwl = buf[nc:nc]
+	for i := range st.netHPWL {
 		st.netHPWL[i] = st.netHPWLOf(i)
 	}
 	st.cost = st.fullCost()
@@ -402,14 +441,14 @@ func (st *annealState) calibrateTemperature(accept float64) float64 {
 	n := 0
 	for i := 0; i < samples; i++ {
 		k := st.rng.Intn(len(st.comps))
-		old := st.origins[k]
-		delta := st.applyDisplace(k, st.randomOrigin(k))
+		o := st.randomOrigin(k)
+		st.save(k, -1)
+		delta := st.moveOrigin(k, o, st.footprintAt(k, o))
 		if delta > 0 {
 			sum += delta
 			n++
 		}
-		// Undo.
-		st.applyDisplace(k, old)
+		st.restore()
 	}
 	if n == 0 {
 		return 1000
@@ -450,17 +489,31 @@ func (st *annealState) randomOrigin(k int) geom.Point {
 // applyDisplace moves component k to origin o, updates the incremental
 // cost, and returns the cost delta.
 func (st *annealState) applyDisplace(k int, o geom.Point) float64 {
-	c := st.comps[k]
+	r := st.footprintAt(k, o)
+	delta := st.moveOrigin(k, o, r)
+	st.placeFootprint(k, r)
+	return delta
+}
+
+// footprintAt is component k's inflated footprint at origin o.
+func (st *annealState) footprintAt(k int, o geom.Point) geom.Rect {
+	return st.comps[k].Footprint(o).Inflate(Spacing / 2)
+}
+
+// moveOrigin moves component k to origin o, whose inflated footprint is r,
+// updates the cached net HPWL and the cost, and returns the cost delta.
+// The overlap of r is measured against the index without entering it, so
+// k's footprint in infl and the index stays the old one until
+// placeFootprint: a rejected displacement never edits the index.
+func (st *annealState) moveOrigin(k int, o geom.Point, r geom.Rect) float64 {
 	beforeOverlap := st.overlapWith(k)
+	afterOverlap := st.ovl.overlapAt(k, r, st.infl)
 	var beforeHPWL int64
 	for _, ni := range st.netsOf[k] {
 		beforeHPWL += st.netHPWL[ni]
 	}
 	st.origins[k] = o
 	st.placed[k] = true
-	st.infl[k] = c.Footprint(o).Inflate(Spacing / 2)
-	st.ovl.update(k, st.infl[k])
-	afterOverlap := st.overlapWith(k)
 	var afterHPWL int64
 	for _, ni := range st.netsOf[k] {
 		h := st.netHPWLOf(int(ni))
@@ -471,6 +524,13 @@ func (st *annealState) applyDisplace(k int, o geom.Point) float64 {
 	st.cost += delta
 	st.markDirty(k)
 	return delta
+}
+
+// placeFootprint makes r component k's footprint in infl and the overlap
+// index.
+func (st *annealState) placeFootprint(k int, r geom.Rect) {
+	st.infl[k] = r
+	st.ovl.update(k, r)
 }
 
 // applySwap exchanges the origins of components a and b and returns the
@@ -488,12 +548,14 @@ func (st *annealState) applySwap(a, b int) float64 {
 func (st *annealState) tryMove(temp float64) bool {
 	if st.rng.Intn(2) == 0 {
 		k := st.rng.Intn(len(st.comps))
-		old := st.origins[k]
-		delta := st.applyDisplace(k, st.randomOrigin(k))
-		if !st.accept(delta, temp) {
-			st.applyDisplace(k, old)
+		o := st.randomOrigin(k)
+		r := st.footprintAt(k, o)
+		st.save(k, -1)
+		if !st.accept(st.moveOrigin(k, o, r), temp) {
+			st.restore()
 			return false
 		}
+		st.placeFootprint(k, r)
 		return true
 	}
 	a := st.rng.Intn(len(st.comps))
@@ -501,12 +563,54 @@ func (st *annealState) tryMove(temp float64) bool {
 	if b >= a {
 		b++
 	}
-	delta := st.applySwap(a, b)
-	if !st.accept(delta, temp) {
-		st.applySwap(a, b)
+	st.save(a, b)
+	if !st.accept(st.applySwap(a, b), temp) {
+		st.restore()
 		return false
 	}
 	return true
+}
+
+// save records the state a move of component a (and b, for a swap; b < 0
+// for a displacement) is about to overwrite.
+func (st *annealState) save(a, b int) {
+	u := &st.undo
+	u.n = 0
+	u.cost = st.cost
+	u.hpwl = u.hpwl[:0]
+	for _, k := range [2]int{a, b} {
+		if k < 0 {
+			break
+		}
+		u.comps[u.n] = int32(k)
+		u.origins[u.n] = st.origins[k]
+		u.infl[u.n] = st.infl[k]
+		for _, ni := range st.netsOf[k] {
+			u.hpwl = append(u.hpwl, st.netHPWL[ni])
+		}
+		u.n++
+	}
+}
+
+// restore writes the saved record back, undoing the move that followed the
+// last save. The overlap index is returned to the saved footprints, which
+// is free when a move kept its bucket span. A net shared by both swapped
+// components was saved twice with the same pre-move value, so writing it
+// twice is harmless.
+func (st *annealState) restore() {
+	u := &st.undo
+	h := 0
+	for m := 0; m < u.n; m++ {
+		k := int(u.comps[m])
+		st.origins[k] = u.origins[m]
+		st.infl[k] = u.infl[m]
+		st.ovl.update(k, u.infl[m])
+		for _, ni := range st.netsOf[k] {
+			st.netHPWL[ni] = u.hpwl[h]
+			h++
+		}
+	}
+	st.cost = u.cost
 }
 
 func (st *annealState) accept(delta, temp float64) bool {

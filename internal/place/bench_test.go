@@ -32,14 +32,8 @@ func BenchmarkAnnealPlace(b *testing.B) {
 func BenchmarkAnnealMoves(b *testing.B) {
 	for _, name := range []string{"rotary_pcr", "general_purpose_mfd"} {
 		d := benchDevice(b, name)
-		die := DieFor(d, 0.35)
-		start, err := greedyPlace(d, die)
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(name, func(b *testing.B) {
-			st := newAnnealState(d, start, 1)
-			st.window = die.Dx()
+			st := annealStateFor(b, d, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -158,12 +158,23 @@ func (ix *overlapIndex) nextGen() uint32 {
 // component, visiting only k's buckets. rects[j] must hold each inserted
 // component's current inflated footprint.
 func (ix *overlapIndex) overlapWith(k int, rects []geom.Rect) int64 {
-	span := ix.ranges[k]
+	return ix.overlapIn(ix.ranges[k], k, rects[k], rects)
+}
+
+// overlapAt sums the intrusion footprint rk would have as component k's,
+// without moving k in the index: k's own entry is skipped wherever it is
+// indexed, so a move can be costed before the index learns it.
+func (ix *overlapIndex) overlapAt(k int, rk geom.Rect, rects []geom.Rect) int64 {
+	return ix.overlapIn(ix.spanFor(rk), k, rk, rects)
+}
+
+// overlapIn sums intrusion of footprint rk against every inserted
+// component but k listed in the buckets of span.
+func (ix *overlapIndex) overlapIn(span bucketSpan, k int, rk geom.Rect, rects []geom.Rect) int64 {
 	if span.empty() {
 		return 0
 	}
 	gen := ix.nextGen()
-	rk := rects[k]
 	var total int64
 	for row := span.r0; row <= span.r1; row++ {
 		for col := span.c0; col <= span.c1; col++ {
